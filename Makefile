@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test quick race vet fmt check serve equivalence scenarios-check bench-ledger bench-ledger-check bench-fleet figures loadtest loadtest-short loadtest-ramp sweep sweep-short fuzz-short bench-wire loadtest-wire duel recover-test durability bench-wal
+.PHONY: build test quick race vet fmt check serve equivalence scenarios-check bench-ledger bench-ledger-check bench-fleet figures loadtest loadtest-short loadtest-ramp sweep sweep-short fuzz-short bench-wire loadtest-wire duel recover-test durability bench-wal perfbench-check
 
 build:
 	$(GO) build ./...
@@ -133,6 +133,12 @@ durability:
 ## with fsync off
 bench-wal:
 	$(GO) test -run 'AppendZeroAlloc' -bench Append -benchmem ./internal/wal/
+
+## perfbench-check: vet and test the benchmark harness, which is its own
+## Go module — `go test ./...` at the root never compiles it, so an API
+## change in internal/serve could otherwise break it silently
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 figures:
 	$(GO) run ./cmd/dbpplot

@@ -81,7 +81,6 @@ func (d *Dispatcher) ApplyBatch(ops []BatchOp, results []BatchResult) {
 		req := envs[si]
 		if req == nil {
 			req = reqPool.Get().(*request)
-			req.kind = opBatch
 			req.out = results
 			envs[si] = req
 			order = append(order, si)
@@ -93,11 +92,11 @@ func (d *Dispatcher) ApplyBatch(ops []BatchOp, results []BatchResult) {
 		sizes := op.Sizes
 		if len(sizes) > 0 {
 			// Copy at the API boundary, exactly like Arrive: the ledger
-			// and journal retain the vector, and transports reuse their
-			// decode buffers.
+			// retains the vector, and transports reuse their decode
+			// buffers.
 			sizes = append([]float64(nil), sizes...)
 		}
-		req.bops = append(req.bops, batchEntry{
+		req.ops = append(req.ops, batchEntry{
 			depart: op.Depart, id: op.ID, size: op.Size, sizes: sizes,
 			at: at, assigned: assigned, pos: i,
 		})
@@ -107,20 +106,16 @@ func (d *Dispatcher) ApplyBatch(ops []BatchOp, results []BatchResult) {
 	// shards run their sub-batches concurrently, and a full queue only
 	// delays its own shard's hand-off.
 	for _, si := range order {
-		req, sh := envs[si], d.shards[si]
-		sh.inflight.Add(1)
-		if sh.closed.Load() {
-			sh.inflight.Add(-1)
-			for _, e := range req.bops {
-				results[e.pos] = BatchResult{Err: ErrClosed}
-				d.metrics.reject(ErrClosed)
-			}
-			putRequest(req)
-			envs[si] = nil // answered here; skip the reply wait
+		req := envs[si]
+		if d.shards[si].enqueue(req) {
 			continue
 		}
-		sh.reqs <- req
-		sh.inflight.Add(-1)
+		for _, e := range req.ops {
+			results[e.pos] = BatchResult{Err: ErrClosed}
+			d.metrics.reject(ErrClosed)
+		}
+		putRequest(req)
+		envs[si] = nil // answered here; skip the reply wait
 	}
 	for _, si := range order {
 		req := envs[si]
@@ -146,35 +141,4 @@ func (d *Dispatcher) ApplyBatch(ops []BatchOp, results []BatchResult) {
 
 	plan.order = order[:0]
 	planPool.Put(plan)
-}
-
-// ArriveBatch places a batch of arrivals (grouped by shard, one
-// envelope per shard) and returns one result per request, positionally.
-// It is the batch analogue of Arrive; mixed arrive/depart batches use
-// ApplyBatch directly.
-func (d *Dispatcher) ArriveBatch(reqs []ArriveRequest) []BatchResult {
-	ops := make([]BatchOp, len(reqs))
-	for i, r := range reqs {
-		ops[i] = BatchOp{ID: r.ID, Size: r.Size, Sizes: r.Sizes}
-		if r.Time != nil {
-			ops[i].HasTime, ops[i].Time = true, *r.Time
-		}
-	}
-	results := make([]BatchResult, len(ops))
-	d.ApplyBatch(ops, results)
-	return results
-}
-
-// DepartBatch reports a batch of departures; see ArriveBatch.
-func (d *Dispatcher) DepartBatch(reqs []DepartRequest) []BatchResult {
-	ops := make([]BatchOp, len(reqs))
-	for i, r := range reqs {
-		ops[i] = BatchOp{Depart: true, ID: r.ID}
-		if r.Time != nil {
-			ops[i].HasTime, ops[i].Time = true, *r.Time
-		}
-	}
-	results := make([]BatchResult, len(ops))
-	d.ApplyBatch(ops, results)
-	return results
 }

@@ -13,7 +13,7 @@ import (
 func newBatchDispatcher(t *testing.T, shards int) *serve.Dispatcher {
 	t.Helper()
 	d, err := serve.New(serve.Config{
-		Shards: shards, RecordEvents: true,
+		Shards: shards, DataDir: t.TempDir(),
 		Clock: func() float64 { return 0 },
 	})
 	if err != nil {
@@ -70,7 +70,7 @@ func TestApplyBatchMatchesSingles(t *testing.T) {
 		}
 	}
 	for si := 0; si < batched.NumShards(); si++ {
-		if b, s := batched.ShardEvents(si), single.ShardEvents(si); !reflect.DeepEqual(b, s) {
+		if b, s := journal(t, batched, si), journal(t, single, si); !reflect.DeepEqual(b, s) {
 			t.Fatalf("shard %d journals diverge:\nbatch:  %+v\nsingle: %+v", si, b, s)
 		}
 	}
@@ -96,7 +96,7 @@ func TestApplyBatchMatchesSingles(t *testing.T) {
 // vectors it journals; a transport reusing its decode buffer between
 // batches cannot scribble on history.
 func TestApplyBatchCopiesSizes(t *testing.T) {
-	d, err := serve.New(serve.Config{Shards: 1, Dim: 2, RecordEvents: true,
+	d, err := serve.New(serve.Config{Shards: 1, Dim: 2, DataDir: t.TempDir(),
 		Clock: func() float64 { return 0 }})
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +109,7 @@ func TestApplyBatchCopiesSizes(t *testing.T) {
 		t.Fatal(results[0].Err)
 	}
 	buf[0], buf[1] = 0.9, 0.9
-	ev := d.ShardEvents(0)
+	ev := journal(t, d, 0)
 	if len(ev) != 1 || ev[0].Sizes[0] != 0.6 || ev[0].Sizes[1] != 0.2 {
 		t.Fatalf("caller scribble leaked into the journal: %+v", ev)
 	}
@@ -152,44 +152,6 @@ func TestApplyBatchAfterClose(t *testing.T) {
 	}
 	if got := d.Stats().Rejected["shutting_down"]; got != uint64(len(ops)) {
 		t.Fatalf("shutting_down rejections = %d, want %d", got, len(ops))
-	}
-}
-
-// TestArriveDepartBatchWrappers exercises the typed wrappers end to
-// end: positional results, explicit times honored, servers reused.
-func TestArriveDepartBatchWrappers(t *testing.T) {
-	d := newBatchDispatcher(t, 1)
-	t0, t1 := 0.0, 1.0
-	res := d.ArriveBatch([]serve.ArriveRequest{
-		{ID: 1, Size: 0.6, Time: &t0},
-		{ID: 2, Size: 0.6, Time: &t0},
-		{ID: 3, Size: 0.3, Time: &t1},
-	})
-	if len(res) != 3 {
-		t.Fatalf("got %d results", len(res))
-	}
-	want := []struct {
-		server int
-		opened bool
-	}{{0, true}, {1, true}, {0, false}}
-	for i, w := range want {
-		if res[i].Err != nil || res[i].Server != w.server || res[i].Flag != w.opened {
-			t.Fatalf("arrive %d = %+v, want server %d opened %v", i, res[i], w.server, w.opened)
-		}
-	}
-	t2 := 2.0
-	dres := d.DepartBatch([]serve.DepartRequest{
-		{ID: 2, Time: &t2}, // empties server 1
-		{ID: 9, Time: &t2}, // unknown
-	})
-	if dres[0].Err != nil || dres[0].Server != 1 || !dres[0].Flag {
-		t.Fatalf("depart 2 = %+v, want closed server 1", dres[0])
-	}
-	if !errors.Is(dres[1].Err, packing.ErrUnknownJob) {
-		t.Fatalf("depart 9 err = %v, want ErrUnknownJob", dres[1].Err)
-	}
-	if res[0].Time != 0 || dres[0].Time != 2 {
-		t.Fatalf("explicit times not honored: %+v %+v", res[0], dres[0])
 	}
 }
 

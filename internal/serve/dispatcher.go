@@ -50,12 +50,6 @@ type Config struct {
 	// KeepAlive keeps emptied servers open (reusable) for this many
 	// time units, as in packing.NewStreamKeepAlive.
 	KeepAlive float64
-	// RecordEvents journals every accepted event per shard (as actually
-	// applied, post clock guard) for audit and replay reconciliation.
-	// With DataDir set, the write-ahead log itself is the journal —
-	// ShardEvents reads the WAL tail and no unbounded in-memory copy is
-	// kept.
-	RecordEvents bool
 	// QueueDepth bounds each shard's request channel (<= 0 means 1024).
 	// A full queue applies backpressure: submitters block until the
 	// shard owner catches up, so memory stays bounded under overload.
@@ -71,7 +65,8 @@ type Config struct {
 	// every accepted event is appended to a per-shard segmented log
 	// before its reply is sent, periodic snapshots bound replay length,
 	// and New recovers each shard bit-identically from snapshot + tail.
-	// Empty disables durability (the pre-existing in-memory behavior).
+	// The log is also the only journal ShardEvents reads. Empty runs
+	// in memory, with no journal.
 	DataDir string
 	// Fsync is the WAL durability policy: "always", "interval", or
 	// "off" (the default).
@@ -116,47 +111,30 @@ type Departure struct {
 	Time   float64 `json:"time"`
 }
 
-// opKind tags a request envelope.
-type opKind uint8
-
-const (
-	opArrive opKind = iota
-	opDepart
-	opBatch    // a shard's slice of one ApplyBatch call
-	opSnapshot // control: deep-copy the shard's stream state
-)
-
-// request is one envelope on a shard's queue. The reply channel has
-// capacity 1, so the owner never blocks answering; envelopes (and
-// their reply channels) are pooled.
+// request is one envelope on a shard's queue: the shard's slice of one
+// ApplyBatch call, or a single Arrive/Depart as a batch of one. ops is
+// applied in order; each entry's result lands at out[entry.pos] —
+// shards of one batch write disjoint positions, so the scatter needs no
+// lock. The reply channel has capacity 1, so the owner never blocks
+// answering; envelopes (and their reply channels) are pooled.
 type request struct {
-	kind     opKind
-	id       item.ID
-	size     float64
-	sizes    []float64 // dispatcher-owned copy, safe to retain
-	at       float64
-	assigned bool // at came from the service clock (guard may clamp)
-	reply    chan response
+	ops   []batchEntry
+	out   []BatchResult
+	snap  *packing.Snapshot // control envelope: the owner copies its stream state here
+	reply chan struct{}
 
-	// Batch envelopes (kind opBatch): the shard's slice of one
-	// ApplyBatch call. bops is applied in order; each entry's result
-	// lands at out[entry.pos] — shards of one batch write disjoint
-	// positions, so the scatter needs no lock.
-	bops []batchEntry
-	out  []BatchResult
-}
-
-// response is the owner's answer to one envelope.
-type response struct {
-	server int
-	flag   bool // opened (arrive) / closed (depart)
-	at     float64
-	err    error
-	snap   packing.Snapshot // opSnapshot only
+	// A single op's entry and result: ops starts on one, so a batch of
+	// one never allocates, and a single op's out is res.
+	one [1]batchEntry
+	res [1]BatchResult
 }
 
 var reqPool = sync.Pool{
-	New: func() any { return &request{reply: make(chan response, 1)} },
+	New: func() any {
+		req := &request{reply: make(chan struct{}, 1)}
+		req.ops = req.one[:0]
+		return req
+	},
 }
 
 // publishEvery bounds gauge staleness under sustained load: the shard
@@ -165,7 +143,7 @@ var reqPool = sync.Pool{
 const publishEvery = 256
 
 // shard is one single-writer partition: exactly one goroutine (run)
-// ever touches stream, log appends, and gauge stores after New
+// ever touches stream, journal appends, and gauge stores after New
 // returns; everyone else communicates through reqs or reads the
 // atomically published gauge. The closed flag plus the inflight count
 // form the submission gate that makes closing reqs race-free.
@@ -180,9 +158,6 @@ type shard struct {
 	engine string
 
 	gauge atomic.Pointer[ShardStats] // last published stats snapshot
-
-	logMu sync.Mutex // guards log: owner appends, ShardEvents copies
-	log   []Event
 
 	// Durability (nil wal means the shard runs in-memory only). The
 	// owner is the only appender; walErr is the shard-level fail-stop
@@ -466,33 +441,48 @@ func (d *Dispatcher) resolveTime(t *float64) (float64, bool) {
 	return d.clock(), true
 }
 
-// submit enqueues an envelope on the shard and waits for the owner's
-// reply. The inflight/closed pair is the drain gate: Close first flips
-// closed (new submissions bounce with ErrClosed), then waits for the
-// inflight count to hit zero before closing the channel — so a
-// submitter that passed the gate always has a live receiver and every
-// envelope that entered the queue is answered. ok=false means the
-// envelope never entered the queue.
-func (sh *shard) submit(req *request) (response, bool) {
+// enqueue hands an envelope to the shard owner; it is the only sender
+// on sh.reqs. The inflight/closed pair is the drain gate: Close first
+// flips closed (new envelopes bounce), then waits for the inflight
+// count to hit zero before closing the channel — so a sender that
+// passed the gate always has a live receiver and every envelope that
+// entered the queue is answered on its reply channel. false means the
+// envelope never entered the queue and still belongs to the caller.
+func (sh *shard) enqueue(req *request) bool {
 	sh.inflight.Add(1)
 	if sh.closed.Load() {
 		sh.inflight.Add(-1)
-		putRequest(req)
-		return response{}, false
+		return false
 	}
 	sh.reqs <- req
 	sh.inflight.Add(-1)
-	resp := <-req.reply
-	putRequest(req)
-	return resp, true
+	return true
 }
 
 func putRequest(req *request) {
-	req.sizes = nil // the journal/stream own the copied slice now
-	clear(req.bops) // drop size-slice references; journal/stream own them
-	req.bops = req.bops[:0]
+	clear(req.ops) // drop size-slice references; the stream owns them
+	req.ops = req.ops[:0]
 	req.out = nil
+	req.snap = nil
 	reqPool.Put(req)
+}
+
+// single applies one op as a batch of one on its shard and returns the
+// op's outcome and shard. A closed dispatcher answers ErrClosed.
+func (d *Dispatcher) single(e batchEntry) (BatchResult, int) {
+	si := d.ShardFor(e.id)
+	req := reqPool.Get().(*request)
+	req.ops = append(req.ops, e)
+	req.out = req.res[:]
+	if !d.shards[si].enqueue(req) {
+		putRequest(req)
+		d.metrics.reject(ErrClosed)
+		return BatchResult{Err: ErrClosed}, si
+	}
+	<-req.reply
+	res := req.res[0]
+	putRequest(req)
+	return res, si
 }
 
 // Arrive dispatches a job to its shard. A nil t means "now" (service
@@ -500,42 +490,28 @@ func putRequest(req *request) {
 func (d *Dispatcher) Arrive(id item.ID, size float64, sizes []float64, t *float64) (Placement, error) {
 	defer d.metrics.observeArrive(time.Now())
 	at, assigned := d.resolveTime(t)
-	si := d.ShardFor(id)
 	if len(sizes) > 0 {
-		// Copy once at the API boundary: the stream's ledger and the
-		// journal both retain the demand vector beyond this call, and
-		// callers are free to reuse their slice.
+		// Copy once at the API boundary: the stream's ledger retains
+		// the demand vector beyond this call, and callers are free to
+		// reuse their slice.
 		sizes = append([]float64(nil), sizes...)
 	}
-	req := reqPool.Get().(*request)
-	req.kind, req.id, req.size, req.sizes, req.at, req.assigned = opArrive, id, size, sizes, at, assigned
-	resp, ok := d.shards[si].submit(req)
-	if !ok {
-		d.metrics.reject(ErrClosed)
-		return Placement{}, ErrClosed
+	res, si := d.single(batchEntry{id: id, size: size, sizes: sizes, at: at, assigned: assigned})
+	if res.Err != nil {
+		return Placement{}, res.Err
 	}
-	if resp.err != nil {
-		return Placement{}, resp.err
-	}
-	return Placement{ID: id, Shard: si, Server: resp.server, Opened: resp.flag, Time: resp.at}, nil
+	return Placement{ID: id, Shard: si, Server: res.Server, Opened: res.Flag, Time: res.Time}, nil
 }
 
 // Depart reports a job departure to its shard. A nil t means "now".
 func (d *Dispatcher) Depart(id item.ID, t *float64) (Departure, error) {
 	defer d.metrics.observeDepart(time.Now())
 	at, assigned := d.resolveTime(t)
-	si := d.ShardFor(id)
-	req := reqPool.Get().(*request)
-	req.kind, req.id, req.size, req.sizes, req.at, req.assigned = opDepart, id, 0, nil, at, assigned
-	resp, ok := d.shards[si].submit(req)
-	if !ok {
-		d.metrics.reject(ErrClosed)
-		return Departure{}, ErrClosed
+	res, si := d.single(batchEntry{depart: true, id: id, at: at, assigned: assigned})
+	if res.Err != nil {
+		return Departure{}, res.Err
 	}
-	if resp.err != nil {
-		return Departure{}, resp.err
-	}
-	return Departure{ID: id, Shard: si, Server: resp.server, Closed: resp.flag, Time: resp.at}, nil
+	return Departure{ID: id, Shard: si, Server: res.Server, Closed: res.Flag, Time: res.Time}, nil
 }
 
 // run is shard si's owner goroutine: the only writer of the shard's
@@ -562,7 +538,7 @@ func (d *Dispatcher) run(si int, sh *shard) {
 		if !ok {
 			break
 		}
-		sincePublish += d.apply(si, sh, req)
+		sincePublish += d.apply(sh, req)
 		if sincePublish >= publishEvery {
 			sh.publish(si)
 			sincePublish = 0
@@ -579,46 +555,42 @@ func (d *Dispatcher) run(si int, sh *shard) {
 	sh.publish(si)
 }
 
-// apply executes one envelope against the shard's stream: clamp the
-// timestamp, run the event, bump the metrics, journal the applied
-// event (so ShardEvents reflects every answered request), then reply.
-// It returns the number of stream events the envelope carried, which
-// paces the owner's gauge republishing. The envelope still belongs to
-// the submitter — apply must not touch it after sending the reply.
-func (d *Dispatcher) apply(si int, sh *shard, req *request) int {
-	switch req.kind {
-	case opSnapshot:
-		req.reply <- response{snap: sh.stream.Snapshot()}
+// apply executes one envelope against the shard's stream, op by op in
+// order, then replies. It returns the number of stream events the
+// envelope carried, which paces the owner's gauge republishing. The
+// envelope still belongs to the submitter — apply must not touch it
+// after sending the reply.
+func (d *Dispatcher) apply(sh *shard, req *request) int {
+	if req.snap != nil {
+		*req.snap = sh.stream.Snapshot()
+		req.reply <- struct{}{}
 		return 1
-	case opBatch:
-		n := len(req.bops)
-		for i := range req.bops {
-			e := &req.bops[i]
-			server, flag, at, err := d.applyOne(sh, e.depart, e.id, e.size, e.sizes, e.at, e.assigned)
-			req.out[e.pos] = BatchResult{Server: server, Flag: flag, Time: at, Err: err}
-		}
-		req.reply <- response{}
-		return n
 	}
-	depart := req.kind == opDepart
-	server, flag, at, err := d.applyOne(sh, depart, req.id, req.size, req.sizes, req.at, req.assigned)
-	req.reply <- response{server: server, flag: flag, at: at, err: err}
-	return 1
+	n := len(req.ops)
+	for i := range req.ops {
+		e := &req.ops[i]
+		req.out[e.pos] = d.applyOne(sh, e)
+	}
+	req.reply <- struct{}{}
+	return n
 }
 
-// applyOne runs one event against the shard's stream and does its
-// metrics and journal accounting; shared by the single-op and batch
-// envelope paths so both have identical semantics. Owner-only.
-func (d *Dispatcher) applyOne(sh *shard, depart bool, id item.ID, size float64, sizes []float64, at float64, assigned bool) (server int, flag bool, applied float64, err error) {
-	at = sh.guard(at, assigned)
+// applyOne runs one event against the shard's stream — clamp the
+// timestamp, run the event, journal it, bump the metrics — and returns
+// its outcome. Owner-only.
+func (d *Dispatcher) applyOne(sh *shard, e *batchEntry) BatchResult {
+	at := sh.guard(e.at, e.assigned)
 	if sh.wal != nil && sh.walErr.Load() != nil {
 		d.metrics.reject(ErrDurability)
-		return 0, false, at, ErrDurability
+		return BatchResult{Time: at, Err: ErrDurability}
 	}
-	if depart {
-		server, flag, err = sh.stream.Depart(id, at)
+	var server int
+	var flag bool
+	var err error
+	if e.depart {
+		server, flag, err = sh.stream.Depart(e.id, at)
 	} else {
-		server, flag, err = sh.stream.Arrive(id, size, sizes, at)
+		server, flag, err = sh.stream.Arrive(e.id, e.size, e.sizes, at)
 	}
 	if err != nil {
 		// Every rejection except a time regression already advanced the
@@ -626,11 +598,11 @@ func (d *Dispatcher) applyOne(sh *shard, depart bool, id item.ID, size float64, 
 		// journal records a tick for it — replay must reproduce the
 		// advance. A time regression mutated nothing and records nothing.
 		if sh.wal != nil && !errors.Is(err, packing.ErrTimeRegression) {
-			rec := wal.Record{Kind: wal.KindTick, ID: int64(id), Time: at, Server: -1}
+			rec := wal.Record{Kind: wal.KindTick, ID: int64(e.id), Time: at, Server: -1}
 			d.walAppend(sh, &rec) // a failure poisons the shard; this op still reports its rejection
 		}
 		d.metrics.reject(err)
-		return 0, false, at, err
+		return BatchResult{Time: at, Err: err}
 	}
 	if sh.wal != nil {
 		// Append before reply: the caller's acknowledgment implies the
@@ -638,49 +610,28 @@ func (d *Dispatcher) applyOne(sh *shard, depart bool, id item.ID, size float64, 
 		// journal refuses, the in-memory stream has applied an event the
 		// disk never saw — fail stop and report the write as refused.
 		kind := wal.KindArrive
-		if depart {
+		if e.depart {
 			kind = wal.KindDepart
 		}
-		rec := wal.Record{Kind: kind, ID: int64(id), Time: at, Server: int32(server), Size: size, Sizes: sizes}
+		rec := wal.Record{Kind: kind, ID: int64(e.id), Time: at, Server: int32(server), Size: e.size, Sizes: e.sizes}
 		if werr := d.walAppend(sh, &rec); werr != nil {
 			err = fmt.Errorf("%w: %v", ErrDurability, werr)
 			d.metrics.reject(err)
-			return 0, false, at, err
+			return BatchResult{Time: at, Err: err}
 		}
 	}
-	if depart {
+	if e.depart {
 		d.metrics.departures.Add(1)
 		if flag {
 			d.metrics.serversClosed.Add(1)
-		}
-		if d.cfg.RecordEvents && sh.wal == nil {
-			sh.append(Event{Kind: "depart", ID: id, Time: at, Server: server})
 		}
 	} else {
 		d.metrics.arrivals.Add(1)
 		if flag {
 			d.metrics.serversOpened.Add(1)
 		}
-		if d.cfg.RecordEvents && sh.wal == nil {
-			// Copy the demand vector: sizes is the same slice the stream's
-			// ledger retained for this job (Stream.Arrive keeps the caller
-			// slice), so a journal entry aliasing it would let anyone
-			// scribbling on a ShardEvents result corrupt the live levels
-			// the job's eventual depart subtracts from.
-			sh.append(Event{Kind: "arrive", ID: id, Size: size,
-				Sizes: append([]float64(nil), sizes...), Time: at, Server: server})
-		}
 	}
-	return server, flag, at, nil
-}
-
-// append journals one applied event. Only the owner goroutine appends;
-// the mutex exists so ShardEvents can copy concurrently — it is never
-// contended on the event path.
-func (sh *shard) append(ev Event) {
-	sh.logMu.Lock()
-	sh.log = append(sh.log, ev)
-	sh.logMu.Unlock()
+	return BatchResult{Server: server, Flag: flag, Time: at}
 }
 
 // publish stores a fresh stats gauge for lock-free readers (Stats,
@@ -701,40 +652,32 @@ func (sh *shard) publish(si int) {
 }
 
 // ShardEvents returns shard i's journal in the exact order the shard
-// owner applied the events. With durability on, it is read back from
-// the write-ahead log's tail — the records since the last snapshot —
-// so memory stays bounded no matter how long the service runs; clock
-// ticks journaled for rejected events are filtered out. Without a WAL
-// it copies the in-memory journal (Config.RecordEvents must be on).
-func (d *Dispatcher) ShardEvents(i int) []Event {
+// owner applied the events, read back from its write-ahead log: every
+// record the log still holds, before or after Close. Snapshots delete
+// the segments they cover, so the journal is bounded by the snapshot
+// cadence plus one segment, not by uptime. Clock ticks journaled for
+// rejected events are filtered out. A dispatcher without a DataDir has
+// no journal and returns nil. The decoder allocates fresh demand
+// vectors, so the caller owns the result outright.
+func (d *Dispatcher) ShardEvents(i int) ([]Event, error) {
 	sh := d.shards[i]
-	if sh.wal != nil {
-		var out []Event
-		sh.wal.Replay(sh.wal.Stats().SnapshotSeq, func(_ uint64, r wal.Record) error {
-			switch r.Kind {
-			case wal.KindArrive:
-				out = append(out, Event{Kind: "arrive", ID: item.ID(r.ID), Size: r.Size, Sizes: r.Sizes, Time: r.Time, Server: int(r.Server)})
-			case wal.KindDepart:
-				out = append(out, Event{Kind: "depart", ID: item.ID(r.ID), Time: r.Time, Server: int(r.Server)})
-			}
-			return nil
-		})
-		return out
+	if sh.wal == nil {
+		return nil, nil
 	}
-	sh.logMu.Lock()
-	defer sh.logMu.Unlock()
-	out := make([]Event, len(sh.log))
-	copy(out, sh.log)
-	// Deep-copy the demand vectors so the caller owns its result
-	// outright: a struct copy alone would hand every caller (and every
-	// subsequent ShardEvents call) views of the same journal-owned
-	// slices.
-	for i := range out {
-		if len(out[i].Sizes) > 0 {
-			out[i].Sizes = append([]float64(nil), out[i].Sizes...)
+	var out []Event
+	err := sh.wal.Replay(0, func(_ uint64, r wal.Record) error {
+		switch r.Kind {
+		case wal.KindArrive:
+			out = append(out, Event{Kind: "arrive", ID: item.ID(r.ID), Size: r.Size, Sizes: r.Sizes, Time: r.Time, Server: int(r.Server)})
+		case wal.KindDepart:
+			out = append(out, Event{Kind: "depart", ID: item.ID(r.ID), Time: r.Time, Server: int(r.Server)})
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("serve: reading shard %d journal: %w", i, err)
 	}
-	return out
+	return out, nil
 }
 
 // Snapshot returns shard i's stream snapshot (totals + open servers).
@@ -742,14 +685,17 @@ func (d *Dispatcher) ShardEvents(i int) []Event {
 // once the dispatcher has closed, the quiesced stream is read directly.
 func (d *Dispatcher) Snapshot(i int) packing.Snapshot {
 	sh := d.shards[i]
+	var snap packing.Snapshot
 	req := reqPool.Get().(*request)
-	req.kind, req.id, req.size, req.sizes, req.at, req.assigned = opSnapshot, 0, 0, nil, 0, false
-	resp, ok := sh.submit(req)
-	if !ok {
+	req.snap = &snap
+	if !sh.enqueue(req) {
+		putRequest(req)
 		<-sh.done // owner gone; its exit happens-before this read
 		return sh.stream.Snapshot()
 	}
-	return resp.snap
+	<-req.reply
+	putRequest(req)
+	return snap
 }
 
 // Close drains the dispatcher: envelopes already queued are applied

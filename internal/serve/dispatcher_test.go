@@ -34,10 +34,10 @@ func TestDispatcherStressReconciles(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d, err := serve.New(serve.Config{
-				Algorithm:    "firstfit",
-				Shards:       shards,
-				KeepAlive:    tc.keepAlive,
-				RecordEvents: true,
+				Algorithm: "firstfit",
+				Shards:    shards,
+				KeepAlive: tc.keepAlive,
+				DataDir:   t.TempDir(),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -111,7 +111,7 @@ func TestDispatcherStressReconciles(t *testing.T) {
 			}
 			var journaled int
 			for i := 0; i < d.NumShards(); i++ {
-				journaled += len(d.ShardEvents(i))
+				journaled += len(journal(t, d, i))
 			}
 			if uint64(journaled) != stats.Arrivals+stats.Departures {
 				t.Fatalf("journal has %d events, metrics count %d", journaled, stats.Arrivals+stats.Departures)
@@ -128,7 +128,7 @@ func TestDispatcherStressReconciles(t *testing.T) {
 			for i := 0; i < d.NumShards(); i++ {
 				algo, _ := packing.ByName("firstfit")
 				replay := packing.NewStreamKeepAlive(algo, 0, 0, tc.keepAlive)
-				for k, ev := range d.ShardEvents(i) {
+				for k, ev := range journal(t, d, i) {
 					var server int
 					var err error
 					switch ev.Kind {
@@ -170,7 +170,7 @@ func TestDispatcherStressReconciles(t *testing.T) {
 // job ID, covers every shard on a modest ID range, and that arrivals
 // land on the shard ShardFor promises.
 func TestDispatcherRouting(t *testing.T) {
-	d, err := serve.New(serve.Config{Shards: 4, RecordEvents: true})
+	d, err := serve.New(serve.Config{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,4 +239,55 @@ func TestDispatcherCloseConcurrent(t *testing.T) {
 	if again.UsageTime != final.UsageTime || again.Arrivals != final.Arrivals {
 		t.Errorf("Close not idempotent: %+v then %+v", final, again)
 	}
+}
+
+// TestRoundTripAllocs gates the single-op envelope at zero allocations
+// of its own: a warmed one-shard dispatcher's Arrive+Depart round trip
+// may allocate at most 2 more than the same round trip on a bare
+// packing.Stream — the owner's stats gauge, republished whenever the
+// queue runs empty, is the only per-op allocation the dispatcher adds.
+// (Skipped under -race, which makes sync.Pool drop pooled envelopes.)
+func TestRoundTripAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc accounting is unreliable under -race")
+	}
+	algo, _ := packing.ByName("firstfit")
+	s := packing.NewStream(algo, 0, 0)
+	d, err := serve.New(serve.Config{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+
+	id, now := item.ID(0), 0.0
+	stream := func() {
+		id++
+		now++
+		if _, _, err := s.Arrive(id, 0.3, nil, now); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := s.Depart(id, now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dispatcher := func() {
+		id++
+		now++
+		if _, err := d.Arrive(id, 0.3, nil, &now); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.Depart(id, &now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ { // warm the envelope pool and both ledgers
+		stream()
+		dispatcher()
+	}
+	base := testing.AllocsPerRun(1000, stream)
+	got := testing.AllocsPerRun(1000, dispatcher)
+	if got-base > 2 {
+		t.Fatalf("dispatcher round trip allocates %v, bare stream %v: %v extra, want <= 2", got, base, got-base)
+	}
+	t.Logf("allocs per round trip: dispatcher %v, bare stream %v", got, base)
 }

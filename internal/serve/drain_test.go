@@ -15,57 +15,84 @@ import (
 	"dbp/internal/serve"
 )
 
-// TestDrainUnderLoad races arrivals against Dispatcher.Close and
-// proves the drain path's accounting: every attempted op gets exactly
-// one outcome (accepted or rejected, never both, never lost), the
-// accepted count agrees between client-side observation, the metrics
-// core, and the per-shard journals — i.e. nothing is double-counted —
-// and once Close has run, /v1/arrive answers 503 immediately instead
-// of hanging. Run under -race via `make check`.
+// TestDrainUnderLoad races single-op arrivals and ApplyBatch batches
+// against Dispatcher.Close — both pass the same shard gate — and proves
+// the drain path's accounting: every attempted op gets exactly one
+// outcome (accepted or rejected, never both, never lost), the accepted
+// count agrees between client-side observation, the metrics core, and
+// the per-shard journals — i.e. nothing is double-counted — and once
+// Close has run, /v1/arrive answers 503 immediately instead of
+// hanging. Run under -race via `make check`.
 func TestDrainUnderLoad(t *testing.T) {
-	d, err := serve.New(serve.Config{Shards: 4, RecordEvents: true})
+	d, err := serve.New(serve.Config{Shards: 4, DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	const clients = 8
 	const perClient = 400
+	const batchOps = 8
 	const closeAfter = 500 // accepted ops before Close fires, mid-barrage
 	var accepted, rejectedClosed, rejectedOther atomic.Uint64
 	var closeOnce sync.Once
 	var final serve.Stats
+	tally := func(err error) {
+		switch {
+		case err == nil:
+			accepted.Add(1)
+		case errors.Is(err, serve.ErrClosed):
+			rejectedClosed.Add(1)
+		default:
+			rejectedOther.Add(1)
+		}
+		// Once enough ops landed, one client triggers Close
+		// concurrently with everyone else's remaining ops; its
+		// remaining ops (and most of the others') then race the
+		// flipped shards.
+		if accepted.Load() >= closeAfter {
+			closeOnce.Do(func() { final = d.Close() })
+		}
+	}
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
 			for i := 0; i < perClient; i++ {
-				id := item.ID(c*perClient + i + 1)
-				_, err := d.Arrive(id, 0.3, nil, nil)
-				switch {
-				case err == nil:
-					accepted.Add(1)
-				case errors.Is(err, serve.ErrClosed):
-					rejectedClosed.Add(1)
-				default:
-					rejectedOther.Add(1)
-				}
-				// Once enough ops landed, one client triggers Close
-				// concurrently with everyone else's remaining arrivals;
-				// its remaining ops (and most of the others') then race
-				// the flipped shards.
-				if accepted.Load() >= closeAfter {
-					closeOnce.Do(func() { final = d.Close() })
-				}
+				_, err := d.Arrive(item.ID(c*perClient+i+1), 0.3, nil, nil)
+				tally(err)
 			}
 		}(c)
 	}
+	// The batch client spans shards with every batch and keeps going
+	// until the drain refuses it, so its batches always race Close
+	// (which the single-op clients fire on their own).
+	batches := 0
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		ops := make([]serve.BatchOp, batchOps)
+		results := make([]serve.BatchResult, batchOps)
+		next := item.ID(clients*perClient + 1)
+		for closed := false; !closed; {
+			for i := range ops {
+				ops[i] = serve.BatchOp{ID: next, Size: 0.3}
+				next++
+			}
+			d.ApplyBatch(ops, results)
+			batches++
+			for _, r := range results {
+				tally(r.Err)
+				closed = closed || errors.Is(r.Err, serve.ErrClosed)
+			}
+		}
+	}()
 	wg.Wait()
-	closeOnce.Do(func() { final = d.Close() }) // all accepted before threshold
 
+	attempts := uint64(clients*perClient + batches*batchOps)
 	total := accepted.Load() + rejectedClosed.Load() + rejectedOther.Load()
-	if total != clients*perClient {
-		t.Fatalf("outcomes %d != attempts %d (an op was lost or double-resolved)", total, clients*perClient)
+	if total != attempts {
+		t.Fatalf("outcomes %d != attempts %d (an op was lost or double-resolved)", total, attempts)
 	}
 	if rejectedOther.Load() != 0 {
 		t.Fatalf("%d unexpected non-drain rejections", rejectedOther.Load())
@@ -85,7 +112,7 @@ func TestDrainUnderLoad(t *testing.T) {
 	}
 	var journaled uint64
 	for i := 0; i < d.NumShards(); i++ {
-		for _, ev := range d.ShardEvents(i) {
+		for _, ev := range journal(t, d, i) {
 			if ev.Kind == "arrive" {
 				journaled++
 			}

@@ -2,6 +2,8 @@ package serve_test
 
 import (
 	"encoding/json"
+	"errors"
+	"io/fs"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -255,38 +257,43 @@ func TestDurableMetaGuard(t *testing.T) {
 	d2.Close()
 }
 
-// TestDurableShardEventsFromWAL proves the journal endpoint reads back
-// from the WAL with durability on: identical to the in-memory journal
-// of a reference dispatcher (ticks for rejected events filtered out),
-// and bounded to the records since the last snapshot.
+// TestDurableShardEventsFromWAL proves the journal reads back from the
+// WAL exactly as applied: per shard, the script's accepted ops in order
+// with the servers they were answered with (ticks for rejected events
+// filtered out) — and, with periodic snapshots pruning covered
+// segments, bounded to a suffix of that journal.
 func TestDurableShardEventsFromWAL(t *testing.T) {
 	ops := genDurOps(400, 3)
-	cfg := serve.Config{Algorithm: "firstfit", Shards: 2, KeepAlive: 0.3, RecordEvents: true}
-	ref, err := serve.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ref.Close()
-	dcfg := cfg
-	dcfg.DataDir, dcfg.Fsync = t.TempDir(), "off"
-	d, err := serve.New(dcfg)
+	cfg := serve.Config{Algorithm: "firstfit", Shards: 2, KeepAlive: 0.3, DataDir: t.TempDir()}
+	d, err := serve.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	applyDurOps(t, ref, ops)
-	applyDurOps(t, d, ops)
+	out := applyDurOps(t, d, ops)
+	full := make([][]serve.Event, cfg.Shards)
+	for k, o := range ops {
+		if out[k].failed {
+			continue
+		}
+		ev := serve.Event{Kind: "arrive", ID: o.id, Size: o.size, Time: o.t, Server: out[k].server}
+		if o.depart {
+			ev = serve.Event{Kind: "depart", ID: o.id, Time: o.t, Server: out[k].server}
+		}
+		si := d.ShardFor(o.id)
+		full[si] = append(full[si], ev)
+	}
 	for i := 0; i < cfg.Shards; i++ {
-		got, want := d.ShardEvents(i), ref.ShardEvents(i)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("shard %d: WAL-backed journal differs from in-memory journal (%d vs %d events)", i, len(got), len(want))
+		if got := journal(t, d, i); !reflect.DeepEqual(got, full[i]) {
+			t.Fatalf("shard %d: WAL-backed journal differs from the applied ops (%d vs %d events)", i, len(got), len(full[i]))
 		}
 	}
 
-	// With periodic snapshots, the readable journal is the tail — a
-	// suffix of the full journal, bounded by the snapshot cadence.
-	scfg := dcfg
-	scfg.DataDir, scfg.SnapshotEvery = t.TempDir(), 32
+	// With periodic snapshots and small segments, the readable journal
+	// is the tail — a suffix of the full journal, bounded by the
+	// snapshot cadence plus one segment.
+	scfg := cfg
+	scfg.DataDir, scfg.SnapshotEvery, scfg.SegmentBytes = t.TempDir(), 32, 1024
 	ds, err := serve.New(scfg)
 	if err != nil {
 		t.Fatal(err)
@@ -294,13 +301,46 @@ func TestDurableShardEventsFromWAL(t *testing.T) {
 	defer ds.Close()
 	applyDurOps(t, ds, ops)
 	for i := 0; i < cfg.Shards; i++ {
-		tailEvs, full := ds.ShardEvents(i), ref.ShardEvents(i)
-		if len(tailEvs) >= len(full) {
-			t.Fatalf("shard %d: snapshots did not bound the journal tail (%d >= %d)", i, len(tailEvs), len(full))
+		tailEvs := journal(t, ds, i)
+		if len(tailEvs) >= len(full[i]) {
+			t.Fatalf("shard %d: snapshots did not bound the journal tail (%d >= %d)", i, len(tailEvs), len(full[i]))
 		}
-		if !reflect.DeepEqual(tailEvs, full[len(full)-len(tailEvs):]) {
+		if !reflect.DeepEqual(tailEvs, full[i][len(full[i])-len(tailEvs):]) {
 			t.Fatalf("shard %d: journal tail is not a suffix of the full journal", i)
 		}
+	}
+}
+
+// TestShardEventsReadFailure: a journal that cannot be read back is an
+// error, not an empty journal. Deleting a live shard's segment files
+// must surface from ShardEvents (wrapping the file error) and from
+// GET /v1/journal as 500 internal, never as 200 [].
+func TestShardEventsReadFailure(t *testing.T) {
+	dir := t.TempDir()
+	d, err := serve.New(serve.Config{Shards: 1, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	applyDurOps(t, d, genDurOps(20, 5))
+	segs, err := filepath.Glob(filepath.Join(dir, "shard-0000", "*.wal"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no segment files: %v", err)
+	}
+	for _, seg := range segs {
+		if err := os.Remove(seg); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if evs, err := d.ShardEvents(0); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("ShardEvents over a deleted segment = %d events, err %v; want fs.ErrNotExist", len(evs), err)
+	}
+	rec := httptest.NewRecorder()
+	serve.NewHandler(d).ServeHTTP(rec, httptest.NewRequest("GET", "/v1/journal?shard=0", nil))
+	var er serve.ErrorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || rec.Code != http.StatusInternalServerError || er.Code != "internal" {
+		t.Fatalf("GET /v1/journal over a deleted segment = %d %q, want 500 internal", rec.Code, rec.Body.String())
 	}
 }
 
@@ -321,7 +361,10 @@ func TestDurableStatsAndClock(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := d.Stats()
+	// Close's final Stats: a live Stats read can land between an
+	// Arrive's reply and the owner's next gauge publish, so only the
+	// final gauges are guaranteed to cover every applied event.
+	st := d.Close()
 	if st.Durability == nil {
 		t.Fatal("stats missing durability block")
 	}
@@ -344,7 +387,6 @@ func TestDurableStatsAndClock(t *testing.T) {
 	if journaled != 64 {
 		t.Fatalf("journaled %d records, want 64", journaled)
 	}
-	d.Close()
 
 	d2, err := serve.New(cfg)
 	if err != nil {

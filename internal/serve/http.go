@@ -119,8 +119,9 @@ func StatusOf(err error) (int, string) {
 //	GET  /v1/snapshot?shard=N — shard N's full stream snapshot
 //	                   (packing.Snapshot), served by the shard owner
 //	GET  /v1/journal?shard=N  — shard N's applied-event journal
-//	                   (ShardEvents: the WAL tail with durability on,
-//	                   the in-memory journal with RecordEvents)
+//	                   (ShardEvents: every record the shard's WAL still
+//	                   holds, also after Close; [] without a DataDir;
+//	                   500 internal if the log cannot be read)
 //	GET  /healthz    — liveness ("ok", or 503 once draining)
 //
 // Responses are JSON; failures carry an ErrorResponse with a stable
@@ -232,7 +233,11 @@ func NewHandler(d *Dispatcher) http.Handler {
 		if !ok {
 			return
 		}
-		evs := d.ShardEvents(i)
+		evs, err := d.ShardEvents(i)
+		if err != nil {
+			writeError(w, err)
+			return
+		}
 		if evs == nil {
 			evs = []Event{} // an empty journal is [], not null
 		}

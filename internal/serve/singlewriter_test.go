@@ -16,7 +16,7 @@ import (
 // own level accounting, which also retains the demand vector). The
 // dispatcher copies the slice once at the API boundary.
 func TestJournalCopiesSizes(t *testing.T) {
-	d, err := serve.New(serve.Config{Shards: 1, Dim: 2, RecordEvents: true})
+	d, err := serve.New(serve.Config{Shards: 1, Dim: 2, DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestJournalCopiesSizes(t *testing.T) {
 	}
 	d.Close()
 
-	events := d.ShardEvents(0)
+	events := journal(t, d, 0)
 	if len(events) != 4 {
 		t.Fatalf("journal has %d events, want 4", len(events))
 	}
@@ -85,7 +85,7 @@ func TestJournalCopiesSizes(t *testing.T) {
 // the application order (replay reproduces every server assignment).
 // Run under -race via `make check`.
 func TestCloseWithFullQueue(t *testing.T) {
-	d, err := serve.New(serve.Config{Shards: 1, QueueDepth: 1, RecordEvents: true})
+	d, err := serve.New(serve.Config{Shards: 1, QueueDepth: 1, DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,6 +95,7 @@ func TestCloseWithFullQueue(t *testing.T) {
 	var mu sync.Mutex
 	accepted := make(map[item.ID]int) // id -> server
 	var rejected int
+	done := make(chan serve.Stats, 1)
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
@@ -110,15 +111,17 @@ func TestCloseWithFullQueue(t *testing.T) {
 					rejected++
 				}
 				mu.Unlock()
+				// Fire Close mid-barrage, with the queue necessarily
+				// full or filling: depth 1 with 8 writers keeps
+				// submitters parked on the channel send the whole time.
+				// Closing from inside the barrage (not after a sleep)
+				// guarantees this client's remaining ops race the drain.
+				if c == 0 && i == perClient/2 {
+					done <- d.Close()
+				}
 			}
 		}(c)
 	}
-	// Fire Close mid-barrage, with the queue necessarily full or
-	// filling: depth 1 with 8 writers keeps submitters parked on the
-	// channel send the whole time.
-	time.Sleep(2 * time.Millisecond)
-	done := make(chan serve.Stats, 1)
-	go func() { done <- d.Close() }()
 	var final serve.Stats
 	select {
 	case final = <-done:
@@ -143,7 +146,7 @@ func TestCloseWithFullQueue(t *testing.T) {
 	// Journal order equals application order: replaying it must
 	// reproduce exactly the server each accepted request was told, and
 	// cover every accepted request exactly once.
-	events := d.ShardEvents(0)
+	events := journal(t, d, 0)
 	if len(events) != len(accepted) {
 		t.Fatalf("journal has %d events, client-accepted %d", len(events), len(accepted))
 	}

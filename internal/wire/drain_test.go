@@ -25,7 +25,7 @@ import (
 // holds), so "accepted" is well defined even mid-drain. Run under
 // -race via `make check`.
 func TestWireDrainUnderLoad(t *testing.T) {
-	d, err := serve.New(serve.Config{Shards: 4, RecordEvents: true})
+	d, err := serve.New(serve.Config{Shards: 4, DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,11 @@ func TestWireDrainUnderLoad(t *testing.T) {
 	}
 	var journaled uint64
 	for i := 0; i < d.NumShards(); i++ {
-		for _, ev := range d.ShardEvents(i) {
+		evs, err := d.ShardEvents(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range evs {
 			if ev.Kind == "arrive" {
 				journaled++
 			}

@@ -110,7 +110,7 @@ func TestWireGolden(t *testing.T) {
 
 // TestWireVectorDemand round-trips d-dimensional jobs end to end.
 func TestWireVectorDemand(t *testing.T) {
-	d, _, addr := startServer(t, serve.Config{Algorithm: "firstfit", Shards: 1, Dim: 2, RecordEvents: true})
+	d, _, addr := startServer(t, serve.Config{Algorithm: "firstfit", Shards: 1, Dim: 2, DataDir: t.TempDir()})
 	c := dial(t, addr, wire.Options{Conns: 1})
 
 	if _, err := c.Arrive(1, 0.7, []float64{0.5, 0.7}, tp(0)); err != nil {
@@ -128,7 +128,10 @@ func TestWireVectorDemand(t *testing.T) {
 		t.Fatalf("scalar into dim-2 service: %v", err)
 	}
 	// The journaled demand vector must match what went over the wire.
-	evs := d.ShardEvents(0)
+	evs, err := d.ShardEvents(0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(evs) != 2 || len(evs[0].Sizes) != 2 || evs[0].Sizes[0] != 0.5 || evs[0].Sizes[1] != 0.7 {
 		t.Fatalf("journal = %+v", evs)
 	}
@@ -166,7 +169,7 @@ func TestWireStatsAndPing(t *testing.T) {
 // goroutines: every op resolves exactly once with a sensible outcome,
 // and the server sees every accepted op.
 func TestWirePipelinedConcurrency(t *testing.T) {
-	d, _, addr := startServer(t, serve.Config{Shards: 4, RecordEvents: true})
+	d, _, addr := startServer(t, serve.Config{Shards: 4, DataDir: t.TempDir()})
 	c := dial(t, addr, wire.Options{Conns: 2, MaxBatch: 32, Window: 8})
 
 	const clients = 8
@@ -203,7 +206,11 @@ func TestWirePipelinedConcurrency(t *testing.T) {
 	}
 	var journaled int
 	for i := 0; i < d.NumShards(); i++ {
-		journaled += len(d.ShardEvents(i))
+		evs, err := d.ShardEvents(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		journaled += len(evs)
 	}
 	if journaled != 2*clients*perClient {
 		t.Fatalf("journaled %d events, want %d", journaled, 2*clients*perClient)
