@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test quick race vet fmt check serve equivalence scenarios-check bench-ledger bench-ledger-check bench-fleet figures loadtest loadtest-short loadtest-ramp sweep sweep-short fuzz-short bench-wire loadtest-wire duel recover-test durability bench-wal perfbench-check
+.PHONY: build test quick race vet fmt check serve equivalence scenarios-check bench-ledger bench-ledger-check bench-fleet figures loadtest loadtest-short loadtest-ramp sweep sweep-short fuzz-short bench-wire loadtest-wire duel recover-test durability bench-wal bounded-state perfbench-check
 
 build:
 	$(GO) build ./...
@@ -133,6 +133,14 @@ durability:
 ## with fsync off
 bench-wal:
 	$(GO) test -run 'AppendZeroAlloc' -bench Append -benchmem ./internal/wal/
+
+## bounded-state: the streaming ledger's live-state gates — zero allocs for
+## an arrive+depart onto an open server, index leaves <= max(2*open, 64)
+## with a flat live heap and flat ns/op over a million ops, and restore
+## allocations independent of servers ever opened. Run outside -race,
+## where the alloc and timing gates skip.
+bounded-state:
+	$(GO) test -count=1 -v -run 'TestStreamOpenServerRoundTripZeroAlloc|TestStreamBoundedState|TestRestoreCostIndependentOfServersUsed' ./internal/packing/
 
 ## perfbench-check: vet and test the benchmark harness, which is its own
 ## Go module — `go test ./...` at the root never compiles it, so an API

@@ -4,9 +4,14 @@
 // interval from opening to closing, and the objective of the problem is the
 // total length of all usage periods.
 //
-// Bins record every placement, so analyses can reconstruct the level of a
-// bin at any time after the fact (items are never migrated, so an item's
-// residence interval in its bin equals its active interval).
+// A bin can record its placements, so analyses can reconstruct its level
+// at any time after the fact (items are never migrated, so an item's
+// residence interval in its bin equals its active interval). Recording
+// is fixed by who builds the bin: a standalone bin (Open) and the
+// ledgers batch runs use (NewLedger, NewLedgerKeepAlive) record; a live
+// ledger (NewLiveLedger, RestoreLedger), which backs a long-running
+// stream, keeps only levels and resident items, and forgets a bin once
+// it closes.
 package bins
 
 import (
@@ -50,12 +55,19 @@ type Bin struct {
 	emptySince float64 // NaN while occupied; set when the bin empties but lingers (keep-alive)
 	level      []float64
 	active     map[item.ID]item.Item
-	placements []Placement
+	record     bool        // append every placement to placements
+	placements []Placement // nil unless record
+	slot       int         // position in the owning ledger's Index, owned by it
 }
 
 // Open creates a new open bin with the given index and capacity at time t,
 // supporting dim resource dimensions (1 for the paper's scalar problem).
+// The bin records its placement history.
 func Open(index int, capacity float64, dim int, t float64) *Bin {
+	return open(index, capacity, dim, t, true)
+}
+
+func open(index int, capacity float64, dim int, t float64, record bool) *Bin {
 	if dim < 1 {
 		panic("bins: dim must be >= 1")
 	}
@@ -70,6 +82,7 @@ func Open(index int, capacity float64, dim int, t float64) *Bin {
 		emptySince: math.NaN(),
 		level:      make([]float64, dim),
 		active:     make(map[item.ID]item.Item),
+		record:     record,
 	}
 }
 
@@ -184,24 +197,20 @@ func (b *Bin) Place(it item.Item, t float64) {
 	}
 	b.active[it.ID] = it
 	b.emptySince = math.NaN() // a lingering bin is back in service
-	b.placements = append(b.placements, Placement{Item: it, At: t})
+	if b.record {
+		b.placements = append(b.placements, Placement{Item: it, At: t})
+	}
 }
 
 // Remove takes the item out of the bin at time t. If the bin becomes
-// empty it closes at t. Removing an absent item panics.
+// empty it closes at t. Removing an absent item panics. A recorded
+// placement keeps the item as it was placed, so post-hoc reconstruction
+// (LevelAt, ItemsAt) needs items that carry their true departure — as
+// every batch run's items do.
 func (b *Bin) Remove(id item.ID, t float64) {
 	it, ok := b.active[id]
 	if !ok {
 		panic(fmt.Sprintf("bins: item %d not in bin %d", id, b.Index))
-	}
-	// Back-annotate the actual departure time into the placement history,
-	// so post-hoc reconstruction (LevelAt, ItemsAt) works even for items
-	// whose departure was unknown at placement time (streaming callers).
-	for i := range b.placements {
-		if b.placements[i].Item.ID == id {
-			b.placements[i].Item.Departure = t
-			break
-		}
 	}
 	v := it.SizeVec()
 	for d := range v {
@@ -266,7 +275,8 @@ func (b *Bin) ActiveItems() item.List {
 }
 
 // Placements returns every item ever placed in this bin, in placement
-// order. The returned slice is shared; callers must not modify it.
+// order, or nil for a bin that does not record (see the package doc).
+// The returned slice is shared; callers must not modify it.
 func (b *Bin) Placements() []Placement { return b.placements }
 
 // Items returns the items ever placed in the bin, in placement order.

@@ -10,7 +10,17 @@ import (
 // Last Fit) and a (gap, index)-ordered treap (level queries — Best Fit,
 // Worst Fit, Almost Worst Fit). The owning Ledger keeps it coherent on
 // every OpenNew/PlaceIn/Remove/CloseExpired, so every query below is
-// O(log B) against the live fleet with no per-policy bookkeeping.
+// O(log B) in the number B of open bins, with no per-policy bookkeeping.
+//
+// The segment trees are addressed by a dense slot, not by Bin.Index: a
+// bin takes the next slot when it opens, and its slot is tombstoned
+// (-Inf, pointer dropped) when it closes. Once tombstones outnumber open
+// bins (above compactFloor slots) the open bins are renumbered 0..B-1 in
+// opening order and the trees truncated — O(slots), amortized O(1) per
+// close — so the trees are sized by open bins, never by bins ever
+// opened, and the index holds no closed bin. Because slot order equals
+// opening order, every query answers exactly as a tree over Bin.Index
+// would. The treaps are keyed by Bin.Index and untouched by compaction.
 //
 // The scalar structures cover first-dimension gaps, which is exact for
 // 1-D demands; callers fold their tolerance into `need` (conventionally
@@ -33,7 +43,8 @@ import (
 //     (dominant-resource Worst Fit) by walking gap groups downward from
 //     the emptiest, again verifying each candidate exactly.
 type Index struct {
-	bins []*Bin // by Index; closed bins stay (tombstoned)
+	bins []*Bin // by slot; nil marks a closed bin's slot until compaction
+	dead int    // nil slots in bins
 	tree gapTree
 	lvls levelTree
 
@@ -46,6 +57,11 @@ type Index struct {
 	stack []int
 }
 
+// compactFloor is the slot count below which the index never compacts:
+// small fleets keep their tombstones rather than renumbering every few
+// closes.
+const compactFloor = 64
+
 // newIndex creates an index for a ledger of the given dimensionality.
 func newIndex(dim int) *Index {
 	ix := &Index{dim: dim}
@@ -55,70 +71,99 @@ func newIndex(dim int) *Index {
 	return ix
 }
 
-// observeOpen tracks a freshly opened bin (called by the ledger after the
-// first item is placed).
-func (ix *Index) observeOpen(b *Bin) {
-	if b.Index != len(ix.bins) {
-		panic(fmt.Sprintf("bins: index saw bin %d open out of order", b.Index))
-	}
-	ix.bins = append(ix.bins, b)
-	ix.tree.add(b.Index)
-	ix.tree.update(b.Index, b.Gap())
-	ix.lvls.insert(b.Gap(), b.Index)
-	if ix.vtree != nil {
-		ix.vtree.add(b.Index)
-		ix.vtree.update(b.Index, b)
-		ix.dlvls.insert(ix.vtree.minGapAt(b.Index), b.Index)
-	}
-}
+// Slots returns the number of segment-tree leaves in use: the open bins
+// plus the tombstones of bins closed since the last compaction. It never
+// exceeds max(2*open, 64).
+func (ix *Index) Slots() int { return len(ix.bins) }
 
-// restoreClosed occupies the next opening-order slot with an
-// already-closed bin during ledger restore: present in the positional
-// arrays (indices must line up), tombstoned in the gap trees, absent
-// from the level trees — exactly the state remove leaves a closed bin in.
-func (ix *Index) restoreClosed(b *Bin) {
-	if b.Index != len(ix.bins) {
-		panic(fmt.Sprintf("bins: index restore saw bin %d out of order", b.Index))
-	}
+// observeOpen tracks a freshly opened bin (called by the ledger, in
+// opening order, after the first item is placed).
+func (ix *Index) observeOpen(b *Bin) {
+	b.slot = len(ix.bins)
 	ix.bins = append(ix.bins, b)
-	ix.tree.add(b.Index)
-	ix.tree.update(b.Index, math.Inf(-1))
+	ix.tree.add(b.slot)
+	ix.tree.update(b.slot, b.Gap())
+	ix.lvls.insert(b.Gap(), b)
 	if ix.vtree != nil {
-		ix.vtree.add(b.Index)
-		ix.vtree.tombstone(b.Index)
+		ix.vtree.add(b.slot)
+		ix.vtree.update(b.slot, b)
+		ix.dlvls.insert(ix.vtree.minGapAt(b.slot), b)
 	}
+	ix.compactIfSparse()
 }
 
 // refresh re-reads an open bin's gaps after a level change. The treap
 // keys to delete are read back from the tree leaves (the exact floats
 // inserted last time), never recomputed from the bin.
 func (ix *Index) refresh(b *Bin) {
-	old := ix.tree.gap(b.Index)
+	old := ix.tree.gap(b.slot)
 	if g := b.Gap(); g != old {
-		ix.tree.update(b.Index, g)
+		ix.tree.update(b.slot, g)
 		ix.lvls.delete(old, b.Index)
-		ix.lvls.insert(g, b.Index)
+		ix.lvls.insert(g, b)
 	}
 	if ix.vtree != nil {
-		oldMin := ix.vtree.minGapAt(b.Index)
-		ix.vtree.update(b.Index, b)
-		if newMin := ix.vtree.minGapAt(b.Index); newMin != oldMin {
+		oldMin := ix.vtree.minGapAt(b.slot)
+		ix.vtree.update(b.slot, b)
+		if newMin := ix.vtree.minGapAt(b.slot); newMin != oldMin {
 			ix.dlvls.delete(oldMin, b.Index)
-			ix.dlvls.insert(newMin, b.Index)
+			ix.dlvls.insert(newMin, b)
 		}
 	}
 }
 
-// remove untracks a bin that closed.
+// remove untracks a bin that closed: its slot is tombstoned and its
+// pointer dropped, and the slots compact once tombstones outnumber open
+// bins.
 func (ix *Index) remove(b *Bin) {
-	old := ix.tree.gap(b.Index)
-	ix.tree.update(b.Index, math.Inf(-1))
+	old := ix.tree.gap(b.slot)
+	ix.tree.update(b.slot, math.Inf(-1))
 	ix.lvls.delete(old, b.Index)
 	if ix.vtree != nil {
-		oldMin := ix.vtree.minGapAt(b.Index)
-		ix.vtree.tombstone(b.Index)
+		oldMin := ix.vtree.minGapAt(b.slot)
+		ix.vtree.tombstone(b.slot)
 		ix.dlvls.delete(oldMin, b.Index)
 	}
+	ix.bins[b.slot] = nil
+	ix.dead++
+	ix.compactIfSparse()
+}
+
+// compactIfSparse compacts once tombstones outnumber open bins, so the
+// leaves never exceed max(2*open, compactFloor). Opens check too: a
+// fleet sitting at the floor with many tombstones would otherwise cross
+// the bound on its next open.
+func (ix *Index) compactIfSparse() {
+	if n := len(ix.bins); 2*ix.dead > n && n > compactFloor {
+		ix.compact()
+	}
+}
+
+// compact renumbers the open bins 0..B-1 in slot (= opening) order and
+// truncates the trees to B leaves, in place.
+func (ix *Index) compact() {
+	j := 0
+	for i, b := range ix.bins {
+		if b == nil {
+			continue
+		}
+		if i != j {
+			ix.tree.move(i, j)
+			if ix.vtree != nil {
+				ix.vtree.move(i, j)
+			}
+			ix.bins[j] = b
+			b.slot = j
+		}
+		j++
+	}
+	clear(ix.bins[j:])
+	ix.bins = ix.bins[:j]
+	ix.tree.truncate(j)
+	if ix.vtree != nil {
+		ix.vtree.truncate(j)
+	}
+	ix.dead = 0
 }
 
 // FirstFitting returns the earliest-opened bin with gap >= need, or nil
@@ -148,20 +193,27 @@ func (ix *Index) TightestFitting(need float64) *Bin {
 	if n == nil {
 		return nil
 	}
-	return ix.bins[n.idx]
+	return n.bin
 }
 
 // EmptiestFitting returns the bin with the largest gap, ties toward the
 // earliest opened, or nil if even that gap is below need (the Worst Fit
 // query).
 func (ix *Index) EmptiestFitting(need float64) *Bin {
+	if n := ix.emptiest(need); n != nil {
+		return n.bin
+	}
+	return nil
+}
+
+// emptiest is the treap node behind EmptiestFitting: the lowest index
+// within the maximal-gap group, or nil if that gap is below need.
+func (ix *Index) emptiest(need float64) *levelNode {
 	m := ix.lvls.max()
 	if m == nil || m.gap < need {
 		return nil
 	}
-	// Lowest index within the maximal-gap group.
-	n := ix.lvls.ceil(m.gap, 0)
-	return ix.bins[n.idx]
+	return ix.lvls.ceil(m.gap, 0)
 }
 
 // SecondEmptiestFitting returns the runner-up of EmptiestFitting under
@@ -169,21 +221,21 @@ func (ix *Index) EmptiestFitting(need float64) *Bin {
 // need, or nil when fewer than two bins qualify (the Almost Worst Fit
 // query).
 func (ix *Index) SecondEmptiestFitting(need float64) *Bin {
-	first := ix.EmptiestFitting(need)
+	first := ix.emptiest(need)
 	if first == nil {
 		return nil
 	}
-	g := ix.tree.gap(first.Index)
+	g := first.gap
 	// Next bin in the same gap group, if any.
-	if n := ix.lvls.ceil(g, first.Index+1); n != nil && n.gap == g {
-		return ix.bins[n.idx]
+	if n := ix.lvls.ceil(g, first.idx+1); n != nil && n.gap == g {
+		return n.bin
 	}
 	// Otherwise the head of the next-lower gap group, if it still fits.
 	p := ix.lvls.floorBelowGap(g)
 	if p == nil || p.gap < need {
 		return nil
 	}
-	return ix.bins[ix.lvls.ceil(p.gap, 0).idx]
+	return ix.lvls.ceil(p.gap, 0).bin
 }
 
 // EachFitting calls visit for every open bin that can accommodate the
@@ -258,7 +310,7 @@ func (ix *Index) eachFitting(sizes []float64, desc bool, visit func(*Bin) bool) 
 		}
 		if p >= size {
 			if i := p - size; i < nLvs {
-				if b := ix.bins[i]; b.FitsDemand(sizes) && !visit(b) {
+				if b := ix.bins[i]; b != nil && b.FitsDemand(sizes) && !visit(b) {
 					ix.stack = stack[:0]
 					return
 				}
@@ -300,8 +352,8 @@ func (ix *Index) MaxMinGapFitting(sizes []float64) *Bin {
 			return nil
 		}
 		for n := t.ceil(g, 0); n != nil && n.gap == g; n = t.ceil(g, n.idx+1) {
-			if b := ix.bins[n.idx]; b.FitsDemand(sizes) {
-				return b
+			if n.bin.FitsDemand(sizes) {
+				return n.bin
 			}
 		}
 	}
@@ -309,41 +361,63 @@ func (ix *Index) MaxMinGapFitting(sizes []float64) *Bin {
 }
 
 // checkCoherent verifies the index against the ledger's open list; the
-// ledger's CheckInvariants calls it when the index is enabled.
+// ledger's CheckInvariants calls it when the index is enabled. Beyond
+// the gaps and treap keys it checks the slot layout: open bins hold
+// increasing slots, every other slot is a pointer-free tombstone, and
+// the leaves stay within max(2*open, compactFloor).
 func (ix *Index) checkCoherent(open []*Bin) error {
-	inOpen := make(map[int]bool, len(open))
+	prev := -1
 	for _, b := range open {
-		inOpen[b.Index] = true
-		if b.Index >= len(ix.bins) || ix.bins[b.Index] != b {
+		s := b.slot
+		if s < 0 || s >= len(ix.bins) || ix.bins[s] != b {
 			return fmt.Errorf("index does not track open bin %d", b.Index)
 		}
-		if g := ix.tree.gap(b.Index); g != b.Gap() {
+		if s <= prev {
+			return fmt.Errorf("index slot %d of bin %d out of opening order", s, b.Index)
+		}
+		prev = s
+		if g := ix.tree.gap(s); g != b.Gap() {
 			return fmt.Errorf("index gap for bin %d is %g, want %g", b.Index, g, b.Gap())
 		}
-		if !ix.lvls.contains(b.Gap(), b.Index) {
+		if n := ix.lvls.find(b.Gap(), b.Index); n == nil || n.bin != b {
 			return fmt.Errorf("level tree missing open bin %d (gap %g)", b.Index, b.Gap())
 		}
 		if ix.vtree != nil {
 			for d := 0; d < ix.dim; d++ {
-				if g := ix.vtree.gap(b.Index, d); g != b.GapAt(d) {
+				if g := ix.vtree.gap(s, d); g != b.GapAt(d) {
 					return fmt.Errorf("vector index gap for bin %d dim %d is %g, want %g", b.Index, d, g, b.GapAt(d))
 				}
 			}
-			if key := ix.vtree.minGapAt(b.Index); !ix.dlvls.contains(key, b.Index) {
+			key := ix.vtree.minGapAt(s)
+			if n := ix.dlvls.find(key, b.Index); n == nil || n.bin != b {
 				return fmt.Errorf("dominant-resource tree missing open bin %d (min gap %g)", b.Index, key)
 			}
 		}
 	}
-	for i := range ix.bins {
-		if inOpen[i] {
+	dead := 0
+	for i, b := range ix.bins {
+		if b != nil {
+			if !b.IsOpen() {
+				return fmt.Errorf("index slot %d holds closed bin %d", i, b.Index)
+			}
 			continue
 		}
+		dead++
 		if !math.IsInf(ix.tree.gap(i), -1) {
-			return fmt.Errorf("closed bin %d not tombstoned in gap tree (gap %g)", i, ix.tree.gap(i))
+			return fmt.Errorf("slot %d not tombstoned in gap tree (gap %g)", i, ix.tree.gap(i))
 		}
 		if ix.vtree != nil && !math.IsInf(ix.vtree.minGapAt(i), -1) {
-			return fmt.Errorf("closed bin %d not tombstoned in vector gap tree", i)
+			return fmt.Errorf("slot %d not tombstoned in vector gap tree", i)
 		}
+	}
+	if dead != ix.dead || len(ix.bins)-dead != len(open) {
+		return fmt.Errorf("index holds %d slots, %d dead (counted %d), for %d open bins", len(ix.bins), dead, ix.dead, len(open))
+	}
+	if n := len(ix.bins); n > 2*len(open) && n > compactFloor {
+		return fmt.Errorf("index holds %d slots for %d open bins", n, len(open))
+	}
+	if ix.tree.n != len(ix.bins) || (ix.vtree != nil && ix.vtree.n != len(ix.bins)) {
+		return fmt.Errorf("gap trees hold %d leaves, index %d slots", ix.tree.n, len(ix.bins))
 	}
 	if n := ix.lvls.count(); n != len(open) {
 		return fmt.Errorf("level tree holds %d keys, want %d open bins", n, len(open))

@@ -8,10 +8,18 @@ import (
 	"dbp/internal/item"
 )
 
-// Ledger tracks every bin ever opened during a packing run, the currently
-// open subset, which bin each item lives in, and the running objective
-// statistics (total usage time, maximum number of concurrently open bins —
-// the classical DBP objective the paper contrasts with, Sec. II).
+// Ledger tracks the open bins, which bin each item lives in, and the
+// running objective statistics (total usage time, bins ever opened,
+// maximum number of concurrently open bins — the classical DBP objective
+// the paper contrasts with, Sec. II).
+//
+// A recording ledger (NewLedger, NewLedgerKeepAlive: batch runs and
+// replay) also keeps every bin ever opened with its placement history,
+// for AllBins and the analyses built on it. A live ledger (NewLiveLedger,
+// RestoreLedger: streams) keeps live state only — open bins, resident
+// items, counters and the closed-usage accumulator — and holds no
+// reference to a bin once it closes, so its memory and per-event cost
+// are bounded by the live fleet, not by uptime.
 //
 // Every per-event operation is O(log B) in the number of open bins B:
 // placements and openings are O(1), Remove locates the bin's open-list
@@ -22,7 +30,9 @@ type Ledger struct {
 	dim       int
 	keepAlive float64 // 0: close bins the moment they empty
 
-	all      []*Bin
+	record   bool   // keep every bin ever opened, with its placements
+	all      []*Bin // every bin ever opened; nil unless record
+	opened   int    // bins ever opened
 	open     []*Bin // sorted by Index ascending (== opening order)
 	location map[item.ID]*Bin
 	// expiries holds the pending keep-alive closures (min by emptySince),
@@ -44,30 +54,39 @@ type Ledger struct {
 	index *Index
 }
 
-// NewLedger creates a ledger for bins of the given capacity and dimension.
+// NewLedger creates a recording ledger for bins of the given capacity
+// and dimension.
 func NewLedger(capacity float64, dim int) *Ledger {
-	if dim < 1 {
-		panic("bins: dim must be >= 1")
-	}
-	return &Ledger{
-		capacity: capacity,
-		dim:      dim,
-		location: make(map[item.ID]*Bin),
-	}
+	return NewLedgerKeepAlive(capacity, dim, 0)
 }
 
-// NewLedgerKeepAlive creates a ledger whose bins linger open for
-// keepAlive time units after emptying (the cloud keep-alive model: a
+// NewLedgerKeepAlive creates a recording ledger whose bins linger open
+// for keepAlive time units after emptying (the cloud keep-alive model: a
 // server whose billed hour is already paid may as well stay up). The
 // owner must call CloseExpired as simulation time advances and
 // CloseAllLingering at the end.
 func NewLedgerKeepAlive(capacity float64, dim int, keepAlive float64) *Ledger {
+	g := NewLiveLedger(capacity, dim, keepAlive)
+	g.record = true
+	return g
+}
+
+// NewLiveLedger is NewLedgerKeepAlive without the recorder: the ledger
+// keeps live state only (see Ledger), AllBins returns nil and bins keep
+// no placement history. Streams run on it.
+func NewLiveLedger(capacity float64, dim int, keepAlive float64) *Ledger {
+	if dim < 1 {
+		panic("bins: dim must be >= 1")
+	}
 	if keepAlive < 0 {
 		panic("bins: negative keep-alive")
 	}
-	g := NewLedger(capacity, dim)
-	g.keepAlive = keepAlive
-	return g
+	return &Ledger{
+		capacity:  capacity,
+		dim:       dim,
+		keepAlive: keepAlive,
+		location:  make(map[item.ID]*Bin),
+	}
 }
 
 // KeepAlive returns the configured keep-alive duration (0 = none).
@@ -76,7 +95,7 @@ func (g *Ledger) KeepAlive() float64 { return g.keepAlive }
 // EnableIndex turns on the policy-query index, which every subsequent
 // mutation keeps coherent. It must be called before any bin is opened.
 func (g *Ledger) EnableIndex() {
-	if len(g.all) > 0 {
+	if g.opened > 0 {
 		panic("bins: EnableIndex on a ledger that already opened bins")
 	}
 	g.index = newIndex(g.dim)
@@ -174,14 +193,15 @@ func (g *Ledger) Dim() int { return g.dim }
 // Index). The slice is shared; callers must not modify it.
 func (g *Ledger) OpenBins() []*Bin { return g.open }
 
-// AllBins returns every bin ever opened, in opening order. Shared slice.
+// AllBins returns every bin ever opened, in opening order, for a
+// recording ledger, and nil for a live one. Shared slice.
 func (g *Ledger) AllBins() []*Bin { return g.all }
 
 // NumOpen returns the number of currently open bins.
 func (g *Ledger) NumOpen() int { return len(g.open) }
 
 // NumOpened returns the total number of bins ever opened.
-func (g *Ledger) NumOpened() int { return len(g.all) }
+func (g *Ledger) NumOpened() int { return g.opened }
 
 // MaxConcurrentOpen returns the peak number of simultaneously open bins
 // observed so far (the classical DBP objective).
@@ -202,9 +222,12 @@ func (g *Ledger) OpenNew(it item.Item, t float64) *Bin {
 // OpenNewCap opens a fresh bin with an explicit capacity (heterogeneous
 // fleets open different tiers; homogeneous runs use OpenNew).
 func (g *Ledger) OpenNewCap(it item.Item, t, capacity float64) *Bin {
-	b := Open(len(g.all), capacity, g.dim, t)
+	b := open(g.opened, capacity, g.dim, t, g.record)
 	b.LingerWhenEmpty = g.keepAlive > 0
-	g.all = append(g.all, b)
+	g.opened++
+	if g.record {
+		g.all = append(g.all, b)
+	}
 	g.open = append(g.open, b)
 	if len(g.open) > g.maxConcurrentOpen {
 		g.maxConcurrentOpen = len(g.open)
@@ -314,6 +337,12 @@ func (g *Ledger) CheckInvariants() error {
 			return fmt.Errorf("item %d located in non-open bin %d", id, b.Index)
 		}
 	}
+	if len(g.open) > 0 && g.open[len(g.open)-1].Index >= g.opened {
+		return fmt.Errorf("open bin %d beyond %d ever opened", g.open[len(g.open)-1].Index, g.opened)
+	}
+	if g.record && len(g.all) != g.opened {
+		return fmt.Errorf("recorded %d bins, %d ever opened", len(g.all), g.opened)
+	}
 	for i, b := range g.all {
 		if b.Index != i {
 			return fmt.Errorf("bin at position %d has index %d", i, b.Index)
@@ -323,8 +352,8 @@ func (g *Ledger) CheckInvariants() error {
 		}
 	}
 	for i, e := range g.expiries {
-		if e.bin == nil {
-			return fmt.Errorf("nil bin in expiry heap at %d", i)
+		if e.bin == nil || !openSet[e.bin] {
+			return fmt.Errorf("expiry heap entry %d names a bin off the open list", i)
 		}
 		if i > 0 && g.expiries[(i-1)/2].emptySince > e.emptySince {
 			return fmt.Errorf("expiry heap order violated at %d", i)

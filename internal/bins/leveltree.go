@@ -5,18 +5,26 @@ package bins
 // Fit queries — tightest fit (min gap >= need), emptiest fit (max gap),
 // and second-emptiest fit — in O(log B) expected per operation.
 //
-// Keys are exact: two bins compare by gap first and opening index second,
-// with no epsilon fuzz, so every query has a unique, order-independent
-// answer — the property the cross-engine equivalence suite relies on.
-// Priorities are a deterministic hash of the bin index, making tree
-// shape (and therefore run cost) reproducible across runs.
+// Keys are exact: two bins compare by gap first and opening index
+// (Bin.Index) second, with no epsilon fuzz, so every query has a unique,
+// order-independent answer — the property the cross-engine equivalence
+// suite relies on. Priorities are a deterministic hash of the bin index,
+// making tree shape (and therefore run cost) reproducible across runs.
+//
+// Each node carries its bin, so a query answer needs no lookup. Deleted
+// nodes go to a free list that the next insert reuses: a gap change is a
+// delete followed by an insert, and recycling the node keeps placement
+// onto an open bin allocation-free. Recycled nodes drop their bin, so the
+// tree never retains a closed bin.
 type levelTree struct {
 	root *levelNode
+	free *levelNode // recycled nodes, linked through r
 }
 
 type levelNode struct {
 	gap  float64
 	idx  int
+	bin  *Bin
 	prio uint64
 	l, r *levelNode
 }
@@ -35,9 +43,17 @@ func keyLess(g1 float64, i1 int, g2 float64, i2 int) bool {
 	return g1 < g2 || (g1 == g2 && i1 < i2)
 }
 
-// insert adds the key (gap, idx); the key must not already be present.
-func (t *levelTree) insert(gap float64, idx int) {
-	t.root = levelInsert(t.root, &levelNode{gap: gap, idx: idx, prio: splitmix64(uint64(idx))})
+// insert files bin b under the key (gap, b.Index); the key must not
+// already be present.
+func (t *levelTree) insert(gap float64, b *Bin) {
+	x := t.free
+	if x != nil {
+		t.free = x.r
+	} else {
+		x = new(levelNode)
+	}
+	*x = levelNode{gap: gap, idx: b.Index, bin: b, prio: splitmix64(uint64(b.Index))}
+	t.root = levelInsert(t.root, x)
 }
 
 func levelInsert(n, x *levelNode) *levelNode {
@@ -58,36 +74,47 @@ func levelInsert(n, x *levelNode) *levelNode {
 	return n
 }
 
-// delete removes the key (gap, idx); missing keys are a coherence bug.
+// delete removes the key (gap, idx) and recycles its node; missing keys
+// are a coherence bug.
 func (t *levelTree) delete(gap float64, idx int) {
-	t.root = levelDelete(t.root, gap, idx)
+	t.root = t.levelDelete(t.root, gap, idx)
 }
 
-func levelDelete(n *levelNode, gap float64, idx int) *levelNode {
+func (t *levelTree) levelDelete(n *levelNode, gap float64, idx int) *levelNode {
 	if n == nil {
 		panic("bins: level tree missing a key it should hold")
 	}
 	switch {
 	case keyLess(gap, idx, n.gap, n.idx):
-		n.l = levelDelete(n.l, gap, idx)
+		n.l = t.levelDelete(n.l, gap, idx)
 	case keyLess(n.gap, n.idx, gap, idx):
-		n.r = levelDelete(n.r, gap, idx)
+		n.r = t.levelDelete(n.r, gap, idx)
 	default:
 		// Rotate the node down until it has at most one child.
 		switch {
 		case n.l == nil:
-			return n.r
+			child := n.r
+			t.recycle(n)
+			return child
 		case n.r == nil:
-			return n.l
+			child := n.l
+			t.recycle(n)
+			return child
 		case n.l.prio > n.r.prio:
 			n = rotateRight(n)
-			n.r = levelDelete(n.r, gap, idx)
+			n.r = t.levelDelete(n.r, gap, idx)
 		default:
 			n = rotateLeft(n)
-			n.l = levelDelete(n.l, gap, idx)
+			n.l = t.levelDelete(n.l, gap, idx)
 		}
 	}
 	return n
+}
+
+// recycle pushes an unlinked node onto the free list, dropping its bin.
+func (t *levelTree) recycle(n *levelNode) {
+	*n = levelNode{r: t.free}
+	t.free = n
 }
 
 func rotateRight(n *levelNode) *levelNode {
@@ -145,8 +172,8 @@ func (t *levelTree) floorBelowGap(gap float64) *levelNode {
 	return best
 }
 
-// contains reports whether the exact key is present (invariant checks).
-func (t *levelTree) contains(gap float64, idx int) bool {
+// find returns the node holding the exact key, or nil (invariant checks).
+func (t *levelTree) find(gap float64, idx int) *levelNode {
 	for n := t.root; n != nil; {
 		switch {
 		case keyLess(gap, idx, n.gap, n.idx):
@@ -154,10 +181,10 @@ func (t *levelTree) contains(gap float64, idx int) bool {
 		case keyLess(n.gap, n.idx, gap, idx):
 			n = n.r
 		default:
-			return true
+			return n
 		}
 	}
-	return false
+	return nil
 }
 
 // count returns the number of keys (invariant checks; O(B)).

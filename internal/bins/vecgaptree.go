@@ -3,7 +3,7 @@ package bins
 import "math"
 
 // vecGapTree is the d-dimensional generalization of gapTree: a segment
-// tree over bins in opening order whose nodes store the per-dimension
+// tree over the Index's slots (bins in opening order) whose nodes store the per-dimension
 // maximum gap of their range, laid out with stride dim (node p's gap in
 // dimension d lives at node[p*dim+d]). A subtree can be pruned from a
 // vector-fit search as soon as ONE dimension's range maximum falls short
@@ -21,42 +21,37 @@ import "math"
 // leaves; answers are unaffected.
 //
 // Closed bins are tombstoned with -Inf in every dimension, which fails
-// every pruning check, so they can never be visited.
+// every pruning check, so they can never be visited; compaction (move,
+// truncate) reclaims their slots exactly as in gapTree.
 type vecGapTree struct {
 	dim  int
-	n    int       // number of bins ever added (leaves in use)
+	n    int       // slots in use (leaves); leaves >= n hold -Inf
 	size int       // power-of-two leaf count
 	node []float64 // stride-dim segment tree over cached gaps (max per dim)
 }
 
-// add appends leaf i (bins open in index order) with -Inf gaps; the
-// caller follows up with update.
+// add appends leaf i (slots are handed out in order) with -Inf gaps;
+// the caller follows up with update.
 func (t *vecGapTree) add(i int) {
 	if i != t.n {
-		panic("bins: vector gap tree observed out-of-order bin open")
+		panic("bins: vector gap tree observed out-of-order slot")
 	}
 	t.n++
 	if t.n > t.size {
-		t.grow()
+		t.resize(ceilPow2(t.n))
 	}
 }
 
-// grow doubles the leaf capacity, preserving existing leaf values.
-func (t *vecGapTree) grow() {
-	size := 1
-	for size < t.n {
-		size *= 2
-	}
-	old := t.node
-	oldSize := t.size
+// resize reallocates the tree with a power-of-two leaf count, preserving
+// the leaves in use (see gapTree.resize).
+func (t *vecGapTree) resize(size int) {
+	old, oldSize := t.node, t.size
 	t.size = size
 	t.node = make([]float64, 2*size*t.dim)
 	for i := range t.node {
 		t.node[i] = math.Inf(-1)
 	}
-	for i := 0; i < oldSize && i < t.n; i++ {
-		copy(t.node[(size+i)*t.dim:(size+i+1)*t.dim], old[(oldSize+i)*t.dim:(oldSize+i+1)*t.dim])
-	}
+	copy(t.node[size*t.dim:(size+min(t.n, oldSize))*t.dim], old[oldSize*t.dim:])
 	for p := size - 1; p >= 1; p-- {
 		t.pull(p)
 	}
@@ -89,6 +84,31 @@ func (t *vecGapTree) tombstone(i int) {
 	}
 	for p >>= 1; p >= 1; p >>= 1 {
 		t.pull(p)
+	}
+}
+
+// move copies leaf from's gaps to leaf to (to <= from) without updating
+// ancestors; see gapTree.move.
+func (t *vecGapTree) move(from, to int) {
+	copy(t.node[(t.size+to)*t.dim:(t.size+to+1)*t.dim], t.node[(t.size+from)*t.dim:(t.size+from+1)*t.dim])
+}
+
+// truncate ends compaction exactly as gapTree.truncate does.
+func (t *vecGapTree) truncate(n int) {
+	for i := (t.size + n) * t.dim; i < (t.size+t.n)*t.dim; i++ {
+		t.node[i] = math.Inf(-1)
+	}
+	lo, hi := t.size, t.size+t.n-1
+	t.n = n
+	if size := shrinkTo(t.size, n); size > 0 {
+		t.resize(size)
+		return
+	}
+	for lo > 1 && hi >= lo {
+		lo, hi = lo>>1, hi>>1
+		for p := lo; p <= hi; p++ {
+			t.pull(p)
+		}
 	}
 }
 

@@ -38,9 +38,11 @@ type engine struct {
 	clairvoyant bool
 }
 
-// newEngine builds an engine over a fresh ledger. capacity <= 0 means
-// unit capacity; dim <= 0 means scalar. The algorithm is Reset.
-func newEngine(algo Algorithm, capacity float64, dim int, keepAlive float64, kind EngineKind, clairvoyant bool) *engine {
+// newEngine builds an engine over a fresh ledger: a recording one when
+// record is set (batch runs, whose Result carries every bin's history),
+// a live one otherwise (streams). capacity <= 0 means unit capacity;
+// dim <= 0 means scalar. The algorithm is Reset.
+func newEngine(algo Algorithm, capacity float64, dim int, keepAlive float64, kind EngineKind, clairvoyant, record bool) *engine {
 	if capacity <= 0 {
 		capacity = 1
 	}
@@ -51,7 +53,11 @@ func newEngine(algo Algorithm, capacity float64, dim int, keepAlive float64, kin
 		kind = EngineIndexed
 	}
 	algo.Reset()
-	ledger := bins.NewLedgerKeepAlive(capacity, dim, keepAlive)
+	newLedger := bins.NewLiveLedger
+	if record {
+		newLedger = bins.NewLedgerKeepAlive
+	}
+	ledger := newLedger(capacity, dim, keepAlive)
 	e := &engine{algo: algo, ledger: ledger, kind: kind, clairvoyant: clairvoyant}
 	if kind == EngineLinear {
 		e.fleet = linearFleet{ledger: ledger}

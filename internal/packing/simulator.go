@@ -108,7 +108,7 @@ func runCore(algo Algorithm, l item.List, opt *Options, capacityFor func(a Arriv
 		}
 		keepAlive = opt.KeepAlive
 	}
-	eng := newEngine(algo, opt.capacity(), opt.dim(l), keepAlive, opt.engine(), opt != nil && opt.Clairvoyant)
+	eng := newEngine(algo, opt.capacity(), opt.dim(l), keepAlive, opt.engine(), opt != nil && opt.Clairvoyant, true)
 	q := event.NewFromListOrder(l, opt != nil && opt.ArrivalsFirst)
 	assignment := make(map[item.ID]int, len(l))
 

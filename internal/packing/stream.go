@@ -15,6 +15,13 @@ import (
 // instances whose departures are known to the simulator — both drive the
 // identical placement core (validation, policy query, misplace check).
 //
+// A stream keeps live state only: it runs on a live ledger
+// (bins.NewLiveLedger), which records no placement history and releases
+// a server once it closes, so a long-running stream's memory and
+// per-event cost are bounded by its running jobs and open servers, not
+// by its uptime. Closed servers survive as the ServersUsed counter and
+// their share of the accumulated usage.
+//
 // Time must be fed in non-decreasing order across Arrive and Depart calls.
 type Stream struct {
 	eng    *engine
@@ -54,7 +61,7 @@ func NewStreamEngine(algo Algorithm, capacity float64, dim int, keepAlive float6
 	if !kind.valid() {
 		return nil, badEngine(kind)
 	}
-	return &Stream{eng: newEngine(algo, capacity, dim, keepAlive, kind, false)}, nil
+	return &Stream{eng: newEngine(algo, capacity, dim, keepAlive, kind, false, false)}, nil
 }
 
 // Arrive dispatches a job with the given demand at time t and returns the
@@ -133,7 +140,8 @@ func (s *Stream) PeakServers() int { return s.eng.ledger.MaxConcurrentOpen() }
 // tenant pays for under idealized (continuous) pay-as-you-go billing.
 func (s *Stream) AccumulatedUsage(now float64) float64 { return s.eng.ledger.TotalUsage(now) }
 
-// Ledger exposes the underlying bin ledger for inspection (read-only use).
+// Ledger exposes the underlying live bin ledger for inspection
+// (read-only use); it holds the open servers only.
 func (s *Stream) Ledger() *bins.Ledger { return s.eng.ledger }
 
 // Policy returns the name of the placement policy driving the stream.

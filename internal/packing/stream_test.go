@@ -227,8 +227,10 @@ func TestStreamKeepAliveExpiryAtArrival(t *testing.T) {
 	if !opened || srv != 1 {
 		t.Fatalf("arrival at the expiry instant reused server %d (opened=%v), want fresh server 1", srv, opened)
 	}
-	if b := s.Ledger().AllBins()[0]; b.IsOpen() || b.ClosedAt() != 3 {
-		t.Fatalf("server 0 must be closed at 3, got %v", b)
+	// Server 0 is closed and billed exactly [0, 3); server 1 has accrued
+	// nothing yet at t=3.
+	if n, u := s.OpenServers(), s.AccumulatedUsage(3); n != 1 || u != 3 {
+		t.Fatalf("server 0 must be closed at 3: %d servers open, usage %g, want 1 and 3", n, u)
 	}
 }
 
